@@ -11,8 +11,9 @@ import (
 
 // buildForAllocTest assembles a ready-to-run machine for one kernel and
 // software preset, mirroring kernels.Execute up to (but excluding) Run.
-// obs, when non-nil, binds the machine to a live observability plane.
-func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Plane) *machine.Machine {
+// obs, when non-nil, binds the machine to a live observability plane; hw,
+// when non-nil, adjusts the hardware configuration after the preset.
+func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Plane, hwFn func(*config.Manycore)) *machine.Machine {
 	t.Helper()
 	bench, err := kernels.Get(benchName)
 	if err != nil {
@@ -24,6 +25,9 @@ func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Pla
 		t.Fatal(err)
 	}
 	hw := sw.Apply(config.ManycoreDefault())
+	if hwFn != nil {
+		hwFn(&hw)
+	}
 	groups, err := kernels.GroupsFor(sw, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -58,13 +62,20 @@ func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Pla
 // the heap. The warm-up grows every lazily sized buffer (LLC job rings,
 // mesh move scratch, expander queues) before the measured window.
 func TestSteadyStateAllocs(t *testing.T) {
-	cases := []struct{ bench, cfg string }{
-		{"mvt", "NV"},  // scalar MIMD: heavy request/response mesh traffic
-		{"gemm", "V4"}, // vector groups: expanders, frames, wide responses
+	cases := []struct {
+		name, bench, cfg string
+		hw               func(*config.Manycore)
+	}{
+		{"mvt/NV", "mvt", "NV", nil},   // scalar MIMD: heavy request/response mesh traffic
+		{"gemm/V4", "gemm", "V4", nil}, // vector groups: expanders, frames, wide responses
+		// DRAM starved to 2 B/cycle: the in-flight heap stays deep and bank
+		// heads block on full MSHRs, so the blocked-head park/wake path and
+		// heap push/pop run throughout the window.
+		{"mvt/V4/dram2", "mvt", "V4", func(c *config.Manycore) { c.DRAMBandwidth = 2 }},
 	}
 	for _, tc := range cases {
-		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
-			m := buildForAllocTest(t, tc.bench, tc.cfg, nil)
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildForAllocTest(t, tc.bench, tc.cfg, nil, tc.hw)
 			for i := 0; i < 3000; i++ {
 				m.Step()
 			}
@@ -96,7 +107,7 @@ func TestSteadyStateAllocsWithPlane(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
-			m := buildForAllocTest(t, tc.bench, tc.cfg, plane)
+			m := buildForAllocTest(t, tc.bench, tc.cfg, plane, nil)
 			defer m.ReleaseObs()
 			if !m.ObsBound() {
 				t.Fatal("machine did not bind to the plane")

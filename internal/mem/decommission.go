@@ -29,7 +29,7 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 	// same flit shapes streamResponses would have used.
 	for ; b.jobCount > 0; b.popJob() {
 		j := &b.jobs[b.jobHead]
-		m := j.req
+		m := &j.req
 		if m.Kind == msg.KindLoadReq {
 			resp := msg.Message{
 				Kind: msg.KindLoadResp, Src: b.node, Dst: m.Src,
@@ -100,4 +100,5 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 		h.events = h.events[:0]
 	}
 	b.pendingReads = b.pendingReads[:0]
+	b.headBlocked = false
 }

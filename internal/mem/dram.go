@@ -13,12 +13,19 @@ type DRAM struct {
 	latency     int64
 	bytesPerCyc int64
 	channelFree int64
-	inFlight    []dramOp
 
-	// Reusable scratch (steady state allocates nothing): done collects the
-	// ops retired this call, fills backs Completed's return value, dataPool
-	// recycles writeback payload buffers.
-	done     []dramOp
+	// inFlight is a binary min-heap of scheduled operations keyed by
+	// (doneAt, lineAddr, seq). Completed pops only what is due, so a
+	// cycle costs O(completed · log n), not O(n). seq is the schedule
+	// order: it breaks (doneAt, lineAddr) ties first-scheduled-first.
+	// Fault-free doneAt already rises with seq, but a dramdegrade window
+	// that ends lets later ops overtake earlier ones, hence a heap rather
+	// than a FIFO.
+	inFlight []dramOp
+	seq      uint64
+
+	// Reusable scratch (steady state allocates nothing): fills backs
+	// Completed's return value, dataPool recycles writeback payloads.
 	fills    []Fill
 	dataPool [][]uint32
 
@@ -37,10 +44,23 @@ type DRAM struct {
 
 type dramOp struct {
 	doneAt   int64
-	lineAddr uint32
-	bank     int
-	write    bool
+	seq      uint64
 	data     []uint32 // writeback payload
+	bank     int
+	lineAddr uint32
+	write    bool
+}
+
+// before is the heap order: completion time, then line address, then
+// schedule order.
+func (a *dramOp) before(b *dramOp) bool {
+	if a.doneAt != b.doneAt {
+		return a.doneAt < b.doneAt
+	}
+	if a.lineAddr != b.lineAddr {
+		return a.lineAddr < b.lineAddr
+	}
+	return a.seq < b.seq
 }
 
 // NewDRAM builds a channel with the given access latency (cycles) and
@@ -90,7 +110,7 @@ func (d *DRAM) Degrade(from, until int64, factor float64) {
 func (d *DRAM) Read(now int64, lineAddr uint32, lineBytes, bank int) (queue, lat int64) {
 	done, queue, lat := d.schedule(now, lineBytes)
 	d.Reads++
-	d.inFlight = append(d.inFlight, dramOp{doneAt: done, lineAddr: lineAddr, bank: bank})
+	d.push(dramOp{doneAt: done, lineAddr: lineAddr, bank: bank})
 	return queue, lat
 }
 
@@ -106,7 +126,49 @@ func (d *DRAM) Write(now int64, lineAddr uint32, data []uint32, bank int) {
 		d.dataPool = d.dataPool[:n-1]
 	}
 	cp = append(cp, data...)
-	d.inFlight = append(d.inFlight, dramOp{doneAt: done, lineAddr: lineAddr, bank: bank, write: true, data: cp})
+	d.push(dramOp{doneAt: done, lineAddr: lineAddr, bank: bank, write: true, data: cp})
+}
+
+// push stamps op with the next schedule sequence number and sifts it up.
+func (d *DRAM) push(op dramOp) {
+	op.seq = d.seq
+	d.seq++
+	h := append(d.inFlight, op)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	d.inFlight = h
+}
+
+// pop removes the heap top into *op.
+func (d *DRAM) pop(op *dramOp) {
+	h := d.inFlight
+	*op = h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = dramOp{} // drop the payload reference from the vacated slot
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	d.inFlight = h
 }
 
 // Fill is a completed line read.
@@ -117,48 +179,20 @@ type Fill struct {
 
 // Completed drains operations that finish at or before now. Write
 // completions are applied to g; read completions are returned so the owning
-// bank can install the line. Results are ordered by completion time then
-// address for determinism. The returned slice is owned by the DRAM and
-// valid only until the next call.
+// bank can install the line. Results are ordered by completion time, then
+// address, then schedule order, for determinism. The returned slice is
+// owned by the DRAM and valid only until the next call.
 func (d *DRAM) Completed(now int64, g *Global) []Fill {
-	done := d.done[:0]
-	rest := d.inFlight[:0]
-	for _, op := range d.inFlight {
-		if op.doneAt <= now {
-			done = append(done, op)
-		} else {
-			rest = append(rest, op)
-		}
-	}
-	// Scrub the tail so retired writeback payloads don't linger in the
-	// inFlight backing array (done aliases its head region only transiently).
-	for i := len(rest); i < len(d.inFlight); i++ {
-		d.inFlight[i].data = nil
-	}
-	d.inFlight = rest
-	d.done = done[:0]
-	// Insertion sort: completion batches are tiny and nearly ordered, and
-	// unlike sort.Slice this never allocates.
-	for i := 1; i < len(done); i++ {
-		op := done[i]
-		j := i - 1
-		for j >= 0 && (done[j].doneAt > op.doneAt ||
-			(done[j].doneAt == op.doneAt && done[j].lineAddr > op.lineAddr)) {
-			done[j+1] = done[j]
-			j--
-		}
-		done[j+1] = op
-	}
 	fills := d.fills[:0]
-	for i := range done {
-		op := &done[i]
+	var op dramOp
+	for len(d.inFlight) > 0 && d.inFlight[0].doneAt <= now {
+		d.pop(&op)
 		if op.write {
 			g.WriteLine(op.lineAddr, op.data)
 			d.dataPool = append(d.dataPool, op.data)
-			op.data = nil
-		} else {
-			fills = append(fills, Fill{LineAddr: op.lineAddr, Bank: op.bank})
+			continue
 		}
+		fills = append(fills, Fill{LineAddr: op.lineAddr, Bank: op.bank})
 	}
 	d.fills = fills
 	return fills
@@ -172,11 +206,8 @@ func (d *DRAM) Pending() int { return len(d.inFlight) }
 // operation, or math.MaxInt64 when the channel is empty. It feeds the
 // machine's idle fast-forward event horizon.
 func (d *DRAM) NextDoneAt() int64 {
-	next := int64(math.MaxInt64)
-	for i := range d.inFlight {
-		if d.inFlight[i].doneAt < next {
-			next = d.inFlight[i].doneAt
-		}
+	if len(d.inFlight) == 0 {
+		return math.MaxInt64
 	}
-	return next
+	return d.inFlight[0].doneAt
 }

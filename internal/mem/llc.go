@@ -102,6 +102,16 @@ type LLCBank struct {
 	jobHead  int
 	jobCount int
 
+	// headBlocked latches a refusal of the head request: handleLoad or
+	// handleStore found every MSHR busy or the hit-path job cap reached.
+	// Until one of the events that can change that verdict — Install (frees
+	// an MSHR, may evict the head's line), popJob (frees a job slot),
+	// Decommission (empties the bank) — re-evaluating the same head is a
+	// no-op, so processRequest skips it and Park lets a bank with nothing
+	// streaming sleep until the fill's wake. The head itself cannot change
+	// meanwhile: only serving it pops it.
+	headBlocked bool
+
 	// dataPool recycles respJob word buffers (lineWords capacity each): a
 	// popped job's buffer is returned here and reused by the next makeJob,
 	// so streaming allocates nothing once warm. Buffers are bank-owned; a
@@ -206,9 +216,9 @@ func (b *LLCBank) popReq() {
 	b.reqCount--
 }
 
-// pushJob appends a response job, growing the ring if full (Install may
-// burst past the hit-path cap).
-func (b *LLCBank) pushJob(j respJob) {
+// pushJob appends a response job slot, growing the ring if full (Install
+// may burst past the hit-path cap), and returns it for the caller to fill.
+func (b *LLCBank) pushJob() *respJob {
 	if b.jobCount == len(b.jobs) {
 		grown := make([]respJob, 2*len(b.jobs)+1)
 		for i := 0; i < b.jobCount; i++ {
@@ -217,8 +227,9 @@ func (b *LLCBank) pushJob(j respJob) {
 		b.jobs = grown
 		b.jobHead = 0
 	}
-	b.jobs[(b.jobHead+b.jobCount)%len(b.jobs)] = j
+	j := &b.jobs[(b.jobHead+b.jobCount)%len(b.jobs)]
 	b.jobCount++
+	return j
 }
 
 // popJob retires the head job, returning its word buffer to the pool.
@@ -228,6 +239,7 @@ func (b *LLCBank) popJob() {
 	j.data = nil
 	b.jobHead = (b.jobHead + 1) % len(b.jobs)
 	b.jobCount--
+	b.headBlocked = false
 }
 
 // getData takes an n-word buffer from the pool (n never exceeds lineWords).
@@ -320,7 +332,7 @@ func (b *LLCBank) victim(set int) int {
 // combined access block that THIS request serves, and the line address it
 // reads. For the aligned variants that is the whole block; the unaligned
 // Suffix/Prefix pair split a block that straddles a line boundary (§2.3.2).
-func (b *LLCBank) portion(m msg.Message) (lineAddr uint32, kStart, kEnd int, ok bool) {
+func (b *LLCBank) portion(m *msg.Message) (lineAddr uint32, kStart, kEnd int, ok bool) {
 	if m.Addr%4 != 0 {
 		b.fail("unaligned word address %#x", m.Addr)
 		return 0, 0, 0, false
@@ -353,7 +365,7 @@ func (b *LLCBank) portion(m msg.Message) (lineAddr uint32, kStart, kEnd int, ok 
 
 // destOf resolves global word index k of a block to its destination tile
 // and scratchpad byte offset: (Addr+Cnt) -> (BC + Cnt/RPC, BO + Cnt%RPC).
-func (b *LLCBank) destOf(m msg.Message, k int) (tile int, spadOff uint32, ok bool) {
+func (b *LLCBank) destOf(m *msg.Message, k int) (tile int, spadOff uint32, ok bool) {
 	if m.Vload.Dist == isa.VloadSelf || m.Group < 0 {
 		return m.ReqCore, m.SpadOff + uint32(4*k), true
 	}
@@ -414,7 +426,9 @@ func (b *LLCBank) SetCausal(on bool) { b.causal = on }
 // Idle reports whether ticking the bank is a no-op: nothing queued and
 // nothing streaming. A busy MSHR alone does not make the bank active — it
 // is waiting on a DRAM completion, which the machine tracks through the
-// DRAM's own event horizon.
+// DRAM's own event horizon. A blocked head still counts as queued here:
+// idle fast-forward keeps this stricter test, so its skip statistics do
+// not depend on head blocking.
 func (b *LLCBank) Idle() bool {
 	return b.reqCount == 0 && b.jobCount == 0
 }
@@ -428,11 +442,13 @@ func (b *LLCBank) Quiescent(now int64) (bool, int64) {
 	return true, math.MaxInt64
 }
 
-// Park implements sim.Sleeper: an idle bank's tick is a pure no-op (a busy
-// MSHR only waits on a DRAM fill, which arrives through Install — a wake
-// site). Nothing to replay, so CatchUp is empty.
+// Park implements sim.Sleeper: the tick of a bank with nothing streaming
+// and either no request or a blocked head is a pure no-op. A busy MSHR
+// only waits on a DRAM fill, and a blocked head on an Install or popJob;
+// Install is a wake site and popJob needs a stream, so neither can pass
+// unseen. Nothing to replay, so CatchUp is empty.
 func (b *LLCBank) Park(now int64) (bool, int64) {
-	if !b.Idle() {
+	if b.jobCount > 0 || (b.reqCount > 0 && !b.headBlocked) {
 		return false, 0
 	}
 	return true, math.MaxInt64
@@ -442,17 +458,19 @@ func (b *LLCBank) Park(now int64) (bool, int64) {
 func (b *LLCBank) CatchUp(n int64) {}
 
 func (b *LLCBank) processRequest(now int64) {
-	if b.reqCount == 0 || b.err != nil {
+	if b.reqCount == 0 || b.headBlocked || b.err != nil {
 		return
 	}
-	m := b.reqQ[b.reqHead]
+	m := &b.reqQ[b.reqHead]
 	switch m.Kind {
 	case msg.KindStoreReq:
 		if !b.handleStore(now, m) {
+			b.headBlocked = true
 			return
 		}
 	case msg.KindLoadReq, msg.KindVloadReq:
 		if !b.handleLoad(now, m) {
+			b.headBlocked = true
 			return
 		}
 	default:
@@ -462,7 +480,7 @@ func (b *LLCBank) processRequest(now int64) {
 	b.popReq()
 }
 
-func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
+func (b *LLCBank) handleStore(now int64, m *msg.Message) bool {
 	if b.watch != 0 && m.Addr == b.watch {
 		fmt.Printf("[%d] bank%d STORE addr=%#x val=%d from core %d\n", now, b.ID, m.Addr, int32(m.Vals[0]), m.Src)
 	}
@@ -495,7 +513,7 @@ func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
 	return true
 }
 
-func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
+func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 	if b.watch != 0 && m.Kind == msg.KindLoadReq && m.Addr == b.watch {
 		w := b.lookup(b.lineAddrOf(m.Addr))
 		v := int32(-999)
@@ -522,7 +540,7 @@ func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
 		if m.Kind == msg.KindVloadReq {
 			b.st.WideReqs++
 		}
-		b.pushJob(b.makeJob(m, &b.lines[set*b.ways+w], lineAddr, kStart, kEnd))
+		b.makeJob(m, &b.lines[set*b.ways+w], lineAddr, kStart, kEnd)
 		return true
 	}
 	mi, isNew := b.mshrFor(lineAddr)
@@ -537,7 +555,7 @@ func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
 	if isNew {
 		b.pendingReads = append(b.pendingReads, lineAddr)
 	}
-	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{req: m})
+	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{req: *m})
 	return true
 }
 
@@ -563,7 +581,9 @@ func (b *LLCBank) mshrFor(lineAddr uint32) (int, bool) {
 	return free, true
 }
 
-func (b *LLCBank) makeJob(m msg.Message, l *llcLine, lineAddr uint32, kStart, kEnd int) respJob {
+// makeJob queues a response job serving words [kStart, kEnd) of m's block
+// from line l.
+func (b *LLCBank) makeJob(m *msg.Message, l *llcLine, lineAddr uint32, kStart, kEnd int) {
 	skewBase := b.lineAddrOf(m.Addr)
 	var firstWordInLine int
 	if lineAddr == skewBase {
@@ -574,11 +594,12 @@ func (b *LLCBank) makeJob(m msg.Message, l *llcLine, lineAddr uint32, kStart, kE
 	n := kEnd - kStart
 	data := b.getData(n)
 	copy(data, l.data[firstWordInLine:firstWordInLine+n])
-	j := respJob{req: m, kStart: kStart, data: data}
+	j := b.pushJob()
+	j.req = *m
+	j.kStart, j.data, j.sent, j.start = kStart, data, 0, 0
 	if b.causal {
 		j.start = -1 // set when the job reaches the stream head
 	}
-	return j
 }
 
 // Install receives a completed DRAM fill for this bank: evict a victim,
@@ -595,6 +616,7 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 		b.fail("fill for %#x with no MSHR", lineAddr)
 		return
 	}
+	b.headBlocked = false
 	set := b.setOf(lineAddr)
 	w := b.victim(set)
 	l := &b.lines[set*b.ways+w]
@@ -609,13 +631,14 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 	b.touch(set, w)
 	// Replay coalesced requests in arrival order: loads snapshot the line
 	// as of their position, so they never observe later stores.
-	for _, ev := range b.mshr[mi].events {
+	for i := range b.mshr[mi].events {
+		ev := &b.mshr[mi].events[i]
 		if ev.isStore {
 			l.data[ev.store.off] = ev.store.val
 			l.dirty = true
 			continue
 		}
-		m := ev.req
+		m := &ev.req
 		if b.causal {
 			m.CDramQ, m.CDramLat = b.mshr[mi].cDramQ, b.mshr[mi].cDramLat
 		}
@@ -629,7 +652,7 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 		}
 		// Fills may exceed the hit-path job cap transiently; bounding only
 		// the hit path keeps the bank deadlock-free.
-		b.pushJob(b.makeJob(m, l, lineAddr, kStart, kEnd))
+		b.makeJob(m, l, lineAddr, kStart, kEnd)
 	}
 	b.mshr[mi].busy = false
 	b.mshr[mi].lineAddr = 0
@@ -647,14 +670,14 @@ func (b *LLCBank) streamResponses(now int64) {
 	if j.start < 0 {
 		j.start = now
 	}
-	m := j.req
+	m := &j.req
 	if m.Kind == msg.KindLoadReq {
 		resp := msg.Message{
 			Kind: msg.KindLoadResp, Src: b.node, Dst: m.Src,
 			Words: 1, LQSlot: m.LQSlot, Addr: m.Addr,
 		}
 		if b.causal {
-			b.stampResp(&resp, &m, now, j.start)
+			b.stampResp(&resp, m, now, j.start)
 		}
 		resp.Vals[0] = j.data[0]
 		if b.out.TrySend(resp) {
@@ -680,7 +703,7 @@ func (b *LLCBank) streamResponses(now int64) {
 		SpadOff: off, Addr: m.Addr + uint32(4*k),
 	}
 	if b.causal {
-		b.stampResp(&resp, &m, now, j.start)
+		b.stampResp(&resp, m, now, j.start)
 	}
 	resp.Vals[0] = j.data[j.sent]
 	n := 1

@@ -18,8 +18,9 @@ import (
 	"rockcress/internal/msg"
 )
 
-// port indexes a router's five or six ports.
-type port int
+// port indexes a router's five or six ports. One byte keeps a buffered
+// entry at twelve bytes and the route tables at one byte per pair.
+type port int8
 
 const (
 	portN port = iota

@@ -3,6 +3,7 @@ package noc
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"rockcress/internal/msg"
 )
@@ -35,6 +36,17 @@ func newMesh(t *testing.T, w, h, banks, queueCap int, deliver Deliver) *Mesh {
 		t.Fatalf("noc.New: %v", err)
 	}
 	return m
+}
+
+// TestEntryLayout pins the hop payload and route-table element sizes: a
+// hop moves one 12-byte entry, and a route table costs a byte per pair.
+func TestEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 12 {
+		t.Errorf("ring entry is %d bytes, want 12", n)
+	}
+	if n := unsafe.Sizeof(port(0)); n != 1 {
+		t.Errorf("port is %d bytes, want 1", n)
+	}
 }
 
 func TestDelivery(t *testing.T) {
